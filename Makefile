@@ -7,10 +7,11 @@ GO ?= go
 # mandatory for them (sharded stores, batched ingest, HTTP surface, the
 # shared workspace arena under the compute kernels, the spooling
 # transport and its fault injector, the bitset-indexed analytics with
-# their shared support caches, and the WAL — concurrent appends,
+# their shared support caches, the WAL — concurrent appends,
 # background compaction, and the crash matrix all live under
-# internal/driftlog, with the service-level wiring under internal/cloud).
-RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/wire/... ./internal/macrosim/... ./internal/sketch/...
+# internal/driftlog, with the service-level wiring under internal/cloud —
+# and the models: ByCause runs TENT jobs on cloned networks concurrently).
+RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./internal/rca/... ./internal/httpapi/... ./internal/tensor/... ./internal/transport/... ./internal/faultinject/... ./internal/wire/... ./internal/macrosim/... ./internal/sketch/... ./internal/nn/... ./internal/adapt/...
 
 .PHONY: ci vet staticcheck build test race race-chaos chaos macrosim-smoke fuzz fuzz-smoke bench bench-kernels bench-analysis bench-wal bench-wire bench-macrosim bench-sketch bench-smoke clean
 

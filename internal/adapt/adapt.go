@@ -154,14 +154,7 @@ func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix,
 			batch := run.gatherRows(samples, idx[s:e])
 			switch cfg.Method {
 			case TENT:
-				net.ZeroGrads()
-				logits := net.Forward(batch, nn.Adapt)
-				_, dlogits := nn.EntropyInto(&run.dlogits, logits)
-				if cfg.EntropyFilter > 0 {
-					run.zeroUnreliableRows(logits, dlogits, cfg.EntropyFilter)
-				}
-				net.Backward(dlogits)
-				opt.Step(net.Params())
+				run.tentStep(net, opt, batch, cfg.EntropyFilter)
 			case MEMO:
 				// TENT-style batching (§3.4): augment every input in
 				// the batch so BN statistics come from the whole
@@ -176,7 +169,7 @@ func AdaptContext(ctx context.Context, base *nn.Network, samples *tensor.Matrix,
 				net.ZeroGrads()
 				logits := net.Forward(copies, nn.Adapt)
 				_, dlogits := nn.GroupedMarginalEntropyInto(&run.dlogits, logits, cfg.Augmentations)
-				net.Backward(dlogits)
+				net.BackwardParams(dlogits)
 				opt.Step(net.Params())
 			default:
 				return nil, fmt.Errorf("adapt: unknown method %q", cfg.Method)
@@ -237,6 +230,20 @@ func AdaptQuantized(ctx context.Context, base *nn.Network, samples *tensor.Matri
 type runner struct {
 	batch, copies, dlogits tensor.Matrix
 	probs                  []float64
+}
+
+// tentStep runs one TENT optimizer step on batch: an Adapt-mode forward
+// pass, the entropy gradient (minus unreliable rows when filter > 0), a
+// params-only backward down to the first adapted BN layer, and Adam.
+func (run *runner) tentStep(net *nn.Network, opt nn.Optimizer, batch *tensor.Matrix, filter float64) {
+	net.ZeroGrads()
+	logits := net.Forward(batch, nn.Adapt)
+	_, dlogits := nn.EntropyInto(&run.dlogits, logits)
+	if filter > 0 {
+		run.zeroUnreliableRows(logits, dlogits, filter)
+	}
+	net.BackwardParams(dlogits)
+	opt.Step(net.Params())
 }
 
 // zeroUnreliableRows zeroes the gradient rows of samples whose prediction

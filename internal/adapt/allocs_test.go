@@ -9,8 +9,9 @@ import (
 
 // TestAdaptSteadyStateAllocs pins the TENT hot loop: once the runner's
 // buffers and the optimizer state are warm, an adaptation step (gather,
-// forward, entropy + reliability filter, backward, Adam) performs no
-// matrix allocations at pool width 1.
+// then runner.tentStep — forward, entropy + reliability filter,
+// params-only backward, Adam — exactly as AdaptContext runs it) performs
+// no matrix allocations at pool width 1.
 func TestAdaptSteadyStateAllocs(t *testing.T) {
 	tensor.SetMaxWorkers(1)
 	defer tensor.SetMaxWorkers(0)
@@ -31,13 +32,7 @@ func TestAdaptSteadyStateAllocs(t *testing.T) {
 
 	var run runner
 	step := func() {
-		batch := run.gatherRows(samples, idx)
-		net.ZeroGrads()
-		logits := net.Forward(batch, nn.Adapt)
-		_, dlogits := nn.EntropyInto(&run.dlogits, logits)
-		run.zeroUnreliableRows(logits, dlogits, 0.9)
-		net.Backward(dlogits)
-		opt.Step(net.Params())
+		run.tentStep(net, opt, run.gatherRows(samples, idx), 0.9)
 	}
 	for i := 0; i < 3; i++ {
 		step()

@@ -66,7 +66,7 @@ func NewOutlierExposure(net *nn.Network, x *tensor.Matrix, labels []int, outlier
 			exposed.ZeroGrads()
 			logits := exposed.Forward(bx, nn.Train)
 			_, dl := nn.CrossEntropy(logits, by)
-			exposed.Backward(dl)
+			exposed.BackwardParams(dl)
 
 			// Outlier batch: push toward the uniform distribution via
 			// cross-entropy to uniform (gradient p − 1/C per row).
@@ -84,7 +84,7 @@ func NewOutlierExposure(net *nn.Network, x *tensor.Matrix, labels []int, outlier
 					g[j] = cfg.Lambda * (p[j] - 1/c) / float64(ologits.Rows)
 				}
 			}
-			exposed.Backward(dOut)
+			exposed.BackwardParams(dOut)
 			opt.Step(exposed.Params())
 		}
 	}

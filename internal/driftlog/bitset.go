@@ -230,8 +230,9 @@ func (vs *viewShard) condBitmaps(conds []Cond, dst []bmSnap) (bms []bmSnap, matc
 // andPopcount intersects the condition bitmaps with the shard's window
 // bitmap and returns the matching row count plus, of those, the rows
 // whose drift flag is set — read from ovWords when non-nil, the stored
-// drift bitmap otherwise. Pure word-wise AND + popcount: O(rows/64).
-func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift int) {
+// drift bitmap otherwise, and the number of words it visited. Pure
+// word-wise AND + popcount: O(rows/64).
+func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift, words int) {
 	fw := vs.fullWords
 	n := vs.window.effLen(fw)
 	for _, bm := range bms {
@@ -256,7 +257,7 @@ func (vs *viewShard) andPopcount(bms []bmSnap, ovWords []uint64) (total, drift i
 		}
 		drift += bits.OnesCount64(acc & dw)
 	}
-	return total, drift
+	return total, drift, n
 }
 
 // checkConds validates attribute names against the view's pinned
@@ -279,6 +280,7 @@ func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
 	}
 	var out CountResult
 	var buf [4]bmSnap
+	words := 0
 	for si := range v.shards {
 		vs := &v.shards[si]
 		if vs.rows == 0 {
@@ -288,10 +290,12 @@ func (v *View) countBitset(conds []Cond, ov *Overlay) (CountResult, error) {
 		if !match {
 			continue
 		}
-		t, d := vs.andPopcount(bms, ov.words(si))
+		t, d, n := vs.andPopcount(bms, ov.words(si))
 		out.Total += t
 		out.Drift += d
+		words += n
 	}
+	v.wordsVisited.Add(int64(words))
 	return out, nil
 }
 
@@ -302,7 +306,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 	if err := v.checkConds(conds); err != nil {
 		return 0, err
 	}
-	cleared := 0
+	cleared, words := 0, 0
 	var buf [4]bmSnap
 	for si := range v.shards {
 		vs := &v.shards[si]
@@ -320,6 +324,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 				n = e
 			}
 		}
+		words += n
 		var ovWords []uint64
 		for w := 0; w < n; w++ {
 			acc := vs.window.word(w, fw)
@@ -338,6 +343,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 			}
 		}
 	}
+	v.wordsVisited.Add(int64(words))
 	if cleared > 0 {
 		ov.bump()
 	}
@@ -348,6 +354,7 @@ func (v *View) clearDriftBitset(conds []Cond, ov *Overlay) (int, error) {
 // AND+popcount per (attribute, value) bitmap instead of a row scan.
 func (v *View) attrValueCountsBitset(dst map[string]map[string]CountResult, ov *Overlay) map[string]map[string]CountResult {
 	out := resetAttrValueCounts(dst, v)
+	words := 0
 	for si := range v.shards {
 		vs := &v.shards[si]
 		if vs.rows == 0 {
@@ -359,7 +366,8 @@ func (v *View) attrValueCountsBitset(dst map[string]map[string]CountResult, ov *
 			byVal := out[name]
 			for id := 1; id < len(col.bits); id++ {
 				one[0] = col.bits[id]
-				t, d := vs.andPopcount(one[:], ovWords)
+				t, d, n := vs.andPopcount(one[:], ovWords)
+				words += n
 				if t == 0 {
 					continue
 				}
@@ -374,6 +382,7 @@ func (v *View) attrValueCountsBitset(dst map[string]map[string]CountResult, ov *
 			}
 		}
 	}
+	v.wordsVisited.Add(int64(words))
 	return out
 }
 
@@ -414,6 +423,7 @@ const maxPairCross = 1024
 func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKey]CountResult {
 	out := map[PairKey]CountResult{}
 	var tmp []uint64
+	words := 0
 	for si := range v.shards {
 		vs := &v.shards[si]
 		if vs.rows == 0 {
@@ -445,6 +455,7 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 						na = n
 					}
 					any := uint64(0)
+					words += na
 					for w := 0; w < na; w++ {
 						tmp[w] = vs.window.word(w, fw) & bmA.word(w, fw)
 						any |= tmp[w]
@@ -459,6 +470,7 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 							nb = na
 						}
 						total, drift := 0, 0
+						words += nb
 						for w := 0; w < nb; w++ {
 							acc := tmp[w] & bmB.word(w, fw)
 							if acc == 0 {
@@ -489,12 +501,14 @@ func (v *View) pairCountsBitset(ov *Overlay, exclude map[string]bool) map[PairKe
 			}
 		}
 	}
+	v.wordsVisited.Add(int64(words))
 	return out
 }
 
 // pairScanInto is pairCountsBitset's per-attribute-pair row-scan
 // fallback for value cross products too large to enumerate.
 func (vs *viewShard) pairScanInto(v *View, ov *Overlay, si int, aName string, ca viewCol, bName string, cb viewCol, out map[PairKey]CountResult) {
+	v.rowsVisited.Add(int64(vs.rows))
 	for i := 0; i < vs.rows; i++ {
 		if !vs.inWindow(v, i) {
 			continue

@@ -541,6 +541,26 @@ type View struct {
 	sk       *sketchIndex
 	sketched map[string]bool
 	delta    bool
+
+	// Deterministic work tallies of the queries run on this view (see
+	// Work); atomic because scans fan out over shards.
+	wordsVisited, rowsVisited atomic.Int64
+}
+
+// Work is the deterministic work a view's queries have done: bitmap
+// words visited by the indexed paths and rows visited by the row-scan
+// paths. Unlike wall-clock time it carries no timer or scheduling noise,
+// so a scaling claim (RCA work grows linearly in log rows, Fig. 9d) can
+// be tested exactly.
+type Work struct {
+	Words int64 // bitmap words ANDed by the indexed query paths
+	Rows  int64 // rows visited by the row-scan query paths
+}
+
+// Work returns the view's cumulative query work so far. Safe for
+// concurrent use.
+func (v *View) Work() Work {
+	return Work{Words: v.wordsVisited.Load(), Rows: v.rowsVisited.Load()}
 }
 
 // Window returns a view over [from, to). Zero times are unbounded. The
@@ -884,6 +904,7 @@ func (v *View) CountScan(conds []Cond, ov *Overlay) (CountResult, error) {
 			return
 		}
 		var res CountResult
+		v.rowsVisited.Add(int64(vs.rows))
 	rows:
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
@@ -941,6 +962,7 @@ func (v *View) ClearDriftScan(conds []Cond, ov *Overlay) (int, error) {
 			return
 		}
 		var words []uint64
+		v.rowsVisited.Add(int64(vs.rows))
 	rows:
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
@@ -1024,6 +1046,7 @@ func (v *View) attrValueCountsScanInto(dst map[string]map[string]CountResult, ov
 		for name, c := range vs.cols {
 			cols = append(cols, namedCol{name, c})
 		}
+		v.rowsVisited.Add(int64(vs.rows))
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
 				continue
@@ -1131,6 +1154,7 @@ func (v *View) PairCountsScan(ov *Overlay, exclude map[string]bool) map[PairKey]
 		vs := &v.shards[si]
 		cols := vs.sortedCols(exclude)
 		out := map[PairKey]CountResult{}
+		v.rowsVisited.Add(int64(vs.rows))
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
 				continue
@@ -1193,6 +1217,7 @@ func (v *View) SampleIDs(conds []Cond) ([]int64, error) {
 		if !match {
 			return
 		}
+		v.rowsVisited.Add(int64(vs.rows))
 	rows:
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {

@@ -319,6 +319,7 @@ func (v *View) attrValueCountsScanSketched(out map[string]map[string]CountResult
 			return
 		}
 		p := map[string]map[string]CountResult{}
+		v.rowsVisited.Add(int64(vs.rows))
 		for i := 0; i < vs.rows; i++ {
 			if !vs.inWindow(v, i) {
 				continue

@@ -158,7 +158,7 @@ func AblationBNOnly(o Options) (*AblationBNOnlyResult, error) {
 			fullModel.ZeroGrads()
 			logits := fullModel.Forward(batch, nn.Adapt)
 			_, dl := nn.Entropy(logits)
-			fullModel.Backward(dl)
+			fullModel.BackwardParams(dl)
 			opt.Step(fullModel.Params())
 		}
 	}

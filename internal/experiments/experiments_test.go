@@ -332,12 +332,15 @@ func TestFig9dLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Linearity is fitted on the deterministic work counter, not on
+	// wall-clock seconds: an analysis takes about a millisecond at these
+	// sizes, so a line through timings mostly measures timer noise.
 	if res.R2 < 0.85 {
-		t.Fatalf("RCA runtime not linear in rows: R² = %v", res.R2)
+		t.Fatalf("RCA work not linear in rows: R² = %v (points %+v)", res.R2, res.Points)
 	}
-	// Runtime must grow with log size.
-	if res.Points[len(res.Points)-1].Seconds <= res.Points[0].Seconds {
-		t.Fatal("runtime did not grow with rows")
+	// Work must grow with log size.
+	if res.Points[len(res.Points)-1].Work <= res.Points[0].Work {
+		t.Fatal("work did not grow with rows")
 	}
 }
 

@@ -127,6 +127,40 @@ func TestNetworkSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestBackwardParamsSteadyStateAllocs pins the params-only backward the
+// training and adaptation loops run: finding the earliest trainable
+// layer reads the cached parameter list, so a warm step allocates
+// nothing at pool width 1, whether everything trains (nn.Fit) or only
+// γ/β do (TENT).
+func TestBackwardParamsSteadyStateAllocs(t *testing.T) {
+	tensor.SetMaxWorkers(1)
+	defer tensor.SetMaxWorkers(0)
+
+	for _, tent := range []bool{false, true} {
+		net := NewClassifier(ArchResNet50, 32, 8, tensor.NewRand(5, 7))
+		mode := Train
+		if tent {
+			net.FreezeExceptBN()
+			mode = Adapt
+		}
+		opt := NewAdam(1e-3)
+		x := randBatch(14, 64, 32)
+		var dlogits tensor.Matrix
+		step := func() {
+			net.ZeroGrads()
+			_, grad := EntropyInto(&dlogits, net.Forward(x, mode))
+			net.BackwardParams(grad)
+			opt.Step(net.Params())
+		}
+		for i := 0; i < 3; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(10, step); n > 0.5 {
+			t.Fatalf("tent=%v: steady-state params-only step allocates %v per run, want ~0", tent, n)
+		}
+	}
+}
+
 // TestEvalForwardSteadyStateAllocs: pure inference must be allocation-
 // free too (the on-device hot path).
 func TestEvalForwardSteadyStateAllocs(t *testing.T) {

@@ -40,7 +40,29 @@ func BenchmarkTrainStep(b *testing.B) {
 		net.ZeroGrads()
 		logits := net.Forward(x, Train)
 		_, grad := CrossEntropyInto(&dlogits, logits, labels)
-		net.Backward(grad)
+		net.BackwardParams(grad)
+		opt.Step(net.Params())
+	}
+	step()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// BenchmarkTENTStep is one TENT adaptation step (Adapt-mode forward,
+// entropy gradient, params-only backward, Adam over γ/β) on the frozen
+// ResNet50 analogue — the unit of work that dominates a window.
+func BenchmarkTENTStep(b *testing.B) {
+	net, x, _ := benchNet(b)
+	net.FreezeExceptBN()
+	opt := NewAdam(1e-3)
+	var dlogits tensor.Matrix
+	step := func() {
+		net.ZeroGrads()
+		_, grad := EntropyInto(&dlogits, net.Forward(x, Adapt))
+		net.BackwardParams(grad)
 		opt.Step(net.Params())
 	}
 	step()

@@ -57,10 +57,13 @@ func (m Mode) String() string {
 
 // Param is a single learnable tensor with its gradient accumulator.
 type Param struct {
-	Name   string
-	W      *tensor.Matrix
-	Grad   *tensor.Matrix
-	Frozen bool // frozen params are skipped by optimizers
+	Name string
+	W    *tensor.Matrix
+	Grad *tensor.Matrix
+	// Frozen params are skipped by optimizers and by backward: a frozen
+	// param's Grad is never written, so it stays zero (FreezeAll clears
+	// it when freezing).
+	Frozen bool
 }
 
 func newParam(name string, rows, cols int) *Param {
@@ -78,7 +81,8 @@ type Layer interface {
 	// layer-owned scratch, valid until the layer's next Forward.
 	Forward(x *tensor.Matrix, mode Mode) *tensor.Matrix
 	// Backward consumes dL/d(output) and returns dL/d(input),
-	// accumulating parameter gradients along the way. The returned
+	// accumulating the gradients of unfrozen parameters along the way
+	// (frozen ones are never written). The returned
 	// matrix is layer-owned scratch, valid until the layer's next
 	// Backward.
 	Backward(dout *tensor.Matrix) *tensor.Matrix
@@ -86,6 +90,14 @@ type Layer interface {
 	Params() []*Param
 	// Clone returns a deep copy sharing no state with the receiver.
 	Clone() Layer
+}
+
+// paramGradLayer is implemented by layers that can accumulate their
+// parameter gradients without computing dL/d(input) — the step at which
+// Network.BackwardParams stops. The accumulated gradients must be
+// bit-identical to the ones Backward accumulates.
+type paramGradLayer interface {
+	accumulateGrads(dout *tensor.Matrix)
 }
 
 // fusedReLULayer is implemented by layers whose forward pass can absorb
@@ -132,23 +144,35 @@ func (d *Dense) forwardFusedReLU(x *tensor.Matrix, _ Mode, r *ReLU) *tensor.Matr
 }
 
 func (d *Dense) Backward(dout *tensor.Matrix) *tensor.Matrix {
-	// dW goes through scratch and a separate Add (rather than
-	// accumulating into Grad directly) because Grad may already be
-	// non-zero: detectors run two backward passes per step, and the
-	// accumulation order is part of the pinned numerics.
-	dW := d.dW.Reshape(d.In, d.Out)
-	tensor.MatMulATB(dW, d.x, dout)
-	d.w.Grad.Add(dW)
-	if cap(d.db) < d.Out {
-		d.db = make([]float64, d.Out)
-	}
-	db := dout.ColSumsInto(d.db[:d.Out])
-	for j, v := range db {
-		d.b.Grad.Data[j] += v
-	}
+	d.accumulateGrads(dout)
 	dx := d.dx.Reshape(dout.Rows, d.In)
 	tensor.MatMulABT(dx, dout, d.w.W)
 	return dx
+}
+
+// accumulateGrads adds dL/dW and dL/db into the unfrozen ones of W and
+// b. A frozen parameter costs nothing: its Grad is never written, so the
+// TENT backward computes no weight gradient at all.
+func (d *Dense) accumulateGrads(dout *tensor.Matrix) {
+	if !d.w.Frozen {
+		// dW goes through scratch and a separate Add (rather than
+		// accumulating into Grad directly) because Grad may already be
+		// non-zero: outlier-exposure training runs two backward passes
+		// per step, and the accumulation order is part of the pinned
+		// numerics.
+		dW := d.dW.Reshape(d.In, d.Out)
+		tensor.MatMulATB(dW, d.x, dout)
+		d.w.Grad.Add(dW)
+	}
+	if !d.b.Frozen {
+		if cap(d.db) < d.Out {
+			d.db = make([]float64, d.Out)
+		}
+		db := dout.ColSumsInto(d.db[:d.Out])
+		for j, v := range db {
+			d.b.Grad.Data[j] += v
+		}
+	}
 }
 
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
@@ -330,24 +354,8 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	n := float64(dout.Rows)
 	g := bn.gamma.W.Data
-
-	// Parameter gradients are identical in both normalization modes.
+	bn.accumulateGrads(dout)
 	dgamma, dbeta := bn.dgamma, bn.dbeta
-	for j := range dgamma {
-		dgamma[j] = 0
-		dbeta[j] = 0
-	}
-	for i := 0; i < dout.Rows; i++ {
-		dr, hr := dout.Row(i), bn.xhat.Row(i)
-		for j, dv := range dr {
-			dgamma[j] += dv * hr[j]
-			dbeta[j] += dv
-		}
-	}
-	for j := range dgamma {
-		bn.gamma.Grad.Data[j] += dgamma[j]
-		bn.beta.Grad.Data[j] += dbeta[j]
-	}
 
 	dx := bn.dx.Reshape(dout.Rows, dout.Cols)
 	if !bn.batched {
@@ -369,6 +377,36 @@ func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return dx
+}
+
+// accumulateGrads computes Σdout·x̂ and Σdout per feature into dgamma
+// and dbeta (the γ and β gradients, identical in both normalization
+// modes) and adds them into the unfrozen ones of γ and β. The sums are
+// kept even when γ/β are frozen: the batch-statistics input gradient
+// needs both.
+func (bn *BatchNorm) accumulateGrads(dout *tensor.Matrix) {
+	dgamma, dbeta := bn.dgamma, bn.dbeta
+	for j := range dgamma {
+		dgamma[j] = 0
+		dbeta[j] = 0
+	}
+	for i := 0; i < dout.Rows; i++ {
+		dr, hr := dout.Row(i), bn.xhat.Row(i)
+		for j, dv := range dr {
+			dgamma[j] += dv * hr[j]
+			dbeta[j] += dv
+		}
+	}
+	if !bn.gamma.Frozen {
+		for j, v := range dgamma {
+			bn.gamma.Grad.Data[j] += v
+		}
+	}
+	if !bn.beta.Frozen {
+		for j, v := range dbeta {
+			bn.beta.Grad.Data[j] += v
+		}
+	}
 }
 
 func (bn *BatchNorm) Params() []*Param { return []*Param{bn.gamma, bn.beta} }

@@ -19,8 +19,10 @@ type Network struct {
 	// the penultimate feature representation.
 	hidden *tensor.Matrix
 	// params caches the flattened parameter list; LayersList is fixed
-	// after construction, so it is built once.
-	params []*Param
+	// after construction, so it is built once. paramLayer[i] is the
+	// index in LayersList of the layer owning params[i].
+	params     []*Param
+	paramLayer []int
 	// oneIn is the reused single-example wrapper behind LogitsOne.
 	oneIn tensor.Matrix
 }
@@ -58,14 +60,48 @@ func (n *Network) Forward(x *tensor.Matrix, mode Mode) *tensor.Matrix {
 }
 
 // Backward propagates dL/dlogits back through the network, accumulating
-// parameter gradients, and returns dL/dinput (used by Odin-style
-// detectors that perturb the input).
+// the gradients of unfrozen parameters, and returns dL/dinput (used by
+// Odin-style detectors that perturb the input).
 func (n *Network) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	g := dout
 	for i := len(n.LayersList) - 1; i >= 0; i-- {
 		g = n.LayersList[i].Backward(g)
 	}
 	return g
+}
+
+// BackwardParams is Backward for callers that only need parameter
+// gradients (training and adaptation loops). It accumulates the same
+// gradients, bit for bit, but stops at the earliest layer that owns an
+// unfrozen parameter: that layer computes no input gradient and the
+// layers below it are not visited. Under FreezeExceptBN this skips the
+// whole first Dense layer; with every parameter frozen it does nothing.
+func (n *Network) BackwardParams(dout *tensor.Matrix) {
+	first := n.firstTrainable()
+	if first < 0 {
+		return
+	}
+	g := dout
+	for i := len(n.LayersList) - 1; i > first; i-- {
+		g = n.LayersList[i].Backward(g)
+	}
+	if l, ok := n.LayersList[first].(paramGradLayer); ok {
+		l.accumulateGrads(g)
+	} else {
+		n.LayersList[first].Backward(g)
+	}
+}
+
+// firstTrainable returns the index of the earliest layer owning an
+// unfrozen parameter, or -1 when every parameter is frozen. It reads the
+// cached parameter list, so it does not allocate.
+func (n *Network) firstTrainable() int {
+	for i, p := range n.Params() {
+		if !p.Frozen {
+			return n.paramLayer[i]
+		}
+	}
+	return -1
 }
 
 // Hidden returns the cached penultimate features of the last Forward.
@@ -75,24 +111,34 @@ func (n *Network) Hidden() *tensor.Matrix { return n.hidden }
 // cached: it is built on first use and must not be mutated by callers.
 func (n *Network) Params() []*Param {
 	if n.params == nil {
-		for _, l := range n.LayersList {
-			n.params = append(n.params, l.Params()...)
+		for i, l := range n.LayersList {
+			for _, p := range l.Params() {
+				n.params = append(n.params, p)
+				n.paramLayer = append(n.paramLayer, i)
+			}
 		}
 	}
 	return n.params
 }
 
-// ZeroGrads clears every parameter gradient.
+// ZeroGrads clears every unfrozen parameter gradient. Frozen gradients
+// are already zero: backward never writes them.
 func (n *Network) ZeroGrads() {
 	for _, p := range n.Params() {
-		p.Grad.Zero()
+		if !p.Frozen {
+			p.Grad.Zero()
+		}
 	}
 }
 
-// FreezeAll marks every parameter frozen.
+// FreezeAll marks every parameter frozen and clears its gradient, so a
+// gradient accumulated before freezing cannot linger.
 func (n *Network) FreezeAll() {
 	for _, p := range n.Params() {
-		p.Frozen = true
+		if !p.Frozen {
+			p.Grad.Zero()
+			p.Frozen = true
+		}
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 // Optimizer updates parameters from their accumulated gradients.
 type Optimizer interface {
 	// Step applies one update to every non-frozen parameter and clears
-	// its gradient.
+	// its gradient. Frozen parameters are skipped: their gradients are
+	// never written, so there is nothing to clear.
 	Step(params []*Param)
 }
 
@@ -31,7 +32,6 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		if p.Frozen {
-			p.Grad.Zero()
 			continue
 		}
 		if s.WeightDecay != 0 {
@@ -76,7 +76,6 @@ func (a *Adam) Step(params []*Param) {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	for _, p := range params {
 		if p.Frozen {
-			p.Grad.Zero()
 			continue
 		}
 		m, ok := a.m[p]
