@@ -17,8 +17,11 @@ RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./in
 
 ci: vet staticcheck build test race race-chaos macrosim-smoke
 
+# The second pass vets the portable build (no assembly): it keeps the
+# non-amd64 fallbacks of the SIMD kernels compiling and checked.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # staticcheck is optional locally (skipped when the binary is absent)
 # but mandatory in CI, where the workflow installs it. Metric-name
@@ -66,7 +69,8 @@ fuzz:
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
 # entry point in the repo: the HTTP decoders, the drift-log snapshot
 # reader, the count differential, the fault-schedule parser, WAL
-# replay, and the quantized int8 model pass. CI runs this on every
+# replay, the quantized int8 model pass, and the float matmul kernels
+# against their reference loops. CI runs this on every
 # push; interesting inputs it finds should be committed under the
 # package's testdata/fuzz corpus.
 fuzz-smoke:
@@ -80,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s
 	$(GO) test ./internal/macrosim/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzSketchDifferential -fuzztime 30s
+	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 30s
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkIngest$$|BenchmarkIngestBatch$$|BenchmarkRunWindow$$' -benchtime 2s .

@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strings"
+	"sync"
 	"time"
 
 	"nazar/internal/adapt"
@@ -141,6 +142,49 @@ type Server struct {
 	reg     *obs.Registry
 	logger  *slog.Logger
 	metrics *HTTPMetrics
+	deltas  deltaCache
+}
+
+// deltaCache memoizes each version's gob-encoded delta against the
+// service's pinned reference BN. The reference never changes and a
+// version's snapshot is immutable once produced, so each version is
+// diffed and encoded once rather than on every device's pull. Entries
+// remember the snapshot they encode, so a version ID that ever named a
+// different snapshot is re-encoded rather than served stale.
+type deltaCache struct {
+	mu sync.Mutex
+	m  map[string]cachedDelta
+}
+
+type cachedDelta struct {
+	snap *nn.BNSnapshot
+	data []byte
+}
+
+// encoded returns v's delta against ref, gob-encoded. The returned
+// bytes are shared and must not be modified.
+func (c *deltaCache) encoded(ref *nn.BNSnapshot, v adapt.BNVersion) ([]byte, error) {
+	c.mu.Lock()
+	e, ok := c.m[v.ID]
+	c.mu.Unlock()
+	if ok && e.snap == v.Snapshot {
+		return e.data, nil
+	}
+	delta, err := adapt.DiffBN(ref, v.Snapshot)
+	if err != nil {
+		return nil, err
+	}
+	data, err := delta.Encode()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = make(map[string]cachedDelta)
+	}
+	c.m[v.ID] = cachedDelta{snap: v.Snapshot, data: data}
+	c.mu.Unlock()
+	return data, nil
 }
 
 // ServerOption customizes the server.
@@ -438,12 +482,7 @@ func (s *Server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	ref := s.svc.ReferenceBN()
 	var resp DeltasResponse
 	for _, v := range s.svc.VersionsSince(since) {
-		delta, err := adapt.DiffBN(ref, v.Snapshot)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
-			return
-		}
-		data, err := delta.Encode()
+		data, err := s.deltas.encoded(ref, v)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 			return

@@ -2,7 +2,9 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -23,6 +25,13 @@ import (
 // model, returning the client and the world.
 func newEnv(t *testing.T) (*Client, *imagesim.World, *nn.Network) {
 	t.Helper()
+	c, _, world, base := newEnvServer(t)
+	return c, world, base
+}
+
+// newEnvServer is newEnv that also returns the server under test.
+func newEnvServer(t *testing.T) (*Client, *Server, *imagesim.World, *nn.Network) {
+	t.Helper()
 	world := imagesim.NewWorld(imagesim.DefaultConfig(8, 1010))
 	rng := tensor.NewRand(1010, 1)
 	base := nn.NewClassifier(nn.ArchResNet18, world.Dim(), 8, rng)
@@ -39,9 +48,10 @@ func newEnv(t *testing.T) (*Client, *imagesim.World, *nn.Network) {
 	cfg.AdaptCfg.Epochs = 1
 	cfg.AdaptCfg.MinSteps = 5
 	svc := cloud.NewService(base, cfg)
-	srv := httptest.NewServer(NewServer(svc))
+	server := NewServer(svc)
+	srv := httptest.NewServer(server)
 	t.Cleanup(srv.Close)
-	return NewClient(srv.URL), world, base
+	return NewClient(srv.URL), server, world, base
 }
 
 func TestStatusEmpty(t *testing.T) {
@@ -335,8 +345,10 @@ func TestConcurrentIngestOverHTTP(t *testing.T) {
 	}
 }
 
-func TestDeltaPullRoundTrip(t *testing.T) {
-	c, world, base := newEnv(t)
+// ingestFogDay reports 200 entries, half of them fog-corrupted, then
+// runs one analysis so the service produces versions.
+func ingestFogDay(t *testing.T, c *Client, world *imagesim.World, base *nn.Network) {
+	t.Helper()
 	rng := tensor.NewRand(4040, 1)
 	day := weather.Day(6)
 	for i := 0; i < 200; i++ {
@@ -363,6 +375,11 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 	if _, err := c.Analyze(AnalyzeRequest{Now: day.AddDate(0, 0, 1)}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestDeltaPullRoundTrip(t *testing.T) {
+	c, world, base := newEnv(t)
+	ingestFogDay(t, c, world, base)
 
 	ref, err := c.RefBN()
 	if err != nil {
@@ -396,6 +413,94 @@ func TestDeltaPullRoundTrip(t *testing.T) {
 			diff := la.Data[j] - lb.Data[j]
 			if diff < -0.05 || diff > 0.05 {
 				t.Fatalf("version %s logit %d: |%v| too large", full[i].ID, j, diff)
+			}
+		}
+	}
+}
+
+// TestDeltaPullEncodesOnce pins the per-version delta cache: every
+// pull, concurrent ones included, serves exactly the bytes a fresh
+// DiffBN+Encode produces, the cache holds one entry per version however
+// often it is pulled, and a delta served from
+// the cache still decodes, passes its checksum and applies to the same
+// snapshot as a fresh one.
+func TestDeltaPullEncodesOnce(t *testing.T) {
+	c, server, world, base := newEnvServer(t)
+	ingestFogDay(t, c, world, base)
+
+	ref, err := c.RefBN()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := c.Versions(time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) == 0 {
+		t.Fatal("analysis produced no versions")
+	}
+	// Concurrent pulls share the cache, as devices do.
+	var pulls [3]DeltasResponse
+	var wg sync.WaitGroup
+	for i := range pulls {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := c.getJSON(context.Background(), "/v1/deltas", &pulls[i]); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	server.deltas.mu.Lock()
+	cached := len(server.deltas.m)
+	server.deltas.mu.Unlock()
+	if cached != len(full) {
+		t.Fatalf("cache holds %d deltas for %d versions", cached, len(full))
+	}
+	for i, v := range full {
+		freshDelta, err := adapt.DiffBN(ref, v.Snapshot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := freshDelta.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := freshDelta.Apply(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range pulls {
+			dv := pulls[p].Versions[i]
+			if dv.ID != v.ID || !bytes.Equal(dv.Delta, fresh) {
+				t.Fatalf("pull %d version %s: served %d bytes differ from a fresh encode (%d bytes)",
+					p, v.ID, len(dv.Delta), len(fresh))
+			}
+		}
+		served, err := adapt.DecodeBNDelta(pulls[len(pulls)-1].Versions[i].Delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := served.Apply(ref)
+		if err != nil {
+			t.Fatalf("version %s: cached delta fails to apply: %v", v.ID, err)
+		}
+		for l := range want.Layers {
+			for _, pair := range [][2][]float64{
+				{got.Layers[l].Gamma, want.Layers[l].Gamma},
+				{got.Layers[l].Beta, want.Layers[l].Beta},
+				{got.Layers[l].RunMean, want.Layers[l].RunMean},
+				{got.Layers[l].RunVar, want.Layers[l].RunVar},
+			} {
+				for j := range pair[1] {
+					if math.Float64bits(pair[0][j]) != math.Float64bits(pair[1][j]) {
+						t.Fatalf("version %s layer %d: cached delta applies to a different snapshot", v.ID, l)
+					}
+				}
 			}
 		}
 	}

@@ -180,3 +180,49 @@ func TestEvalForwardSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state LogitsOne allocates %v per run, want ~0", n)
 	}
 }
+
+// TestBranchFreeClampMatchesBranch pins the bit-mask select behind the
+// fused BatchNorm+ReLU clamp and ReLU.Backward: it yields v exactly when
+// kept and +0 otherwise, for negative values, -0, NaN and infinities
+// too — the bits of the branch it replaced. A -0 in place of +0 would
+// vanish in the next layer's zero skip, so the network-level tests
+// cannot see it.
+func TestBranchFreeClampMatchesBranch(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	specials := []float64{1.5, -1.5, 0, negZero, math.Inf(1), math.Inf(-1), math.NaN(),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for _, v := range specials {
+		for _, keep := range []bool{false, true} {
+			want := 0.0
+			if keep {
+				want = v
+			}
+			if got := keepIf(v, keep); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("keepIf(%v, %v) = %#x, want %#x", v, keep, math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+
+	bn, r := NewBatchNorm(4), NewReLU()
+	x := randBatch(17, 9, 4)
+	y := bn.forwardFusedReLU(x, Train, r)
+	for i, v := range y.Data {
+		if r.mask[i] != (v > 0) || (!r.mask[i] && math.Float64bits(v) != 0) {
+			t.Fatalf("fused BN+ReLU output %d: %v (%#x) with mask %v", i, v, math.Float64bits(v), r.mask[i])
+		}
+	}
+	dout := tensor.New(9, 4)
+	for i := range dout.Data {
+		dout.Data[i] = specials[i%len(specials)]
+	}
+	dx := r.Backward(dout)
+	for i, v := range dx.Data {
+		want := uint64(0)
+		if r.mask[i] {
+			want = math.Float64bits(dout.Data[i])
+		}
+		if math.Float64bits(v) != want {
+			t.Fatalf("ReLU.Backward %d: got %#x want %#x (mask %v)", i, math.Float64bits(v), want, r.mask[i])
+		}
+	}
+}

@@ -216,12 +216,9 @@ func (r *ReLU) Forward(x *tensor.Matrix, _ Mode) *tensor.Matrix {
 
 func (r *ReLU) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	dx := r.dx.Reshape(dout.Rows, dout.Cols)
+	mask, dd := r.mask[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		} else {
-			dx.Data[i] = 0
-		}
+		dd[i] = keepIf(v, mask[i])
 	}
 	return dx
 }
@@ -323,32 +320,46 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 	xhat := bn.xhatBuf.Reshape(x.Rows, x.Cols)
 	y := bn.y.Reshape(x.Rows, x.Cols)
 	g, b := bn.gamma.W.Data, bn.beta.W.Data
-	var mask []bool
-	if r != nil {
-		mask = r.ensureMask(x.Rows * x.Cols)
+	n := x.Cols
+	invStd := bn.invStd[:n]
+	mean, g, b = mean[:n], g[:n], b[:n]
+	if r == nil {
+		for i := 0; i < x.Rows; i++ {
+			xr, hr, yr := x.Data[i*n:i*n+n], xhat.Data[i*n:i*n+n], y.Data[i*n:i*n+n]
+			for j, v := range xr {
+				h := (v - mean[j]) * invStd[j]
+				hr[j] = h
+				yr[j] = g[j]*h + b[j]
+			}
+		}
+		bn.xhat = xhat
+		return y
 	}
+	mask := r.ensureMask(x.Rows * n)
 	for i := 0; i < x.Rows; i++ {
-		xr, hr, yr := x.Row(i), xhat.Row(i), y.Row(i)
+		xr, hr, yr, mr := x.Data[i*n:i*n+n], xhat.Data[i*n:i*n+n], y.Data[i*n:i*n+n], mask[i*n:i*n+n]
 		for j, v := range xr {
-			h := (v - mean[j]) * bn.invStd[j]
+			h := (v - mean[j]) * invStd[j]
 			hr[j] = h
 			out := g[j]*h + b[j]
-			if r == nil {
-				yr[j] = out
-				continue
-			}
-			mi := i*x.Cols + j
-			if out > 0 {
-				yr[j] = out
-				mask[mi] = true
-			} else {
-				yr[j] = 0
-				mask[mi] = false
-			}
+			pos := out > 0
+			mr[j] = pos
+			yr[j] = keepIf(out, pos)
 		}
 	}
 	bn.xhat = xhat
 	return y
+}
+
+// keepIf returns v when keep is set and +0 otherwise, without a
+// data-dependent branch: the mask is all ones or all zeros. It gives the
+// same bits as the branch, including for -0 and NaN.
+func keepIf(v float64, keep bool) float64 {
+	var m uint64
+	if keep {
+		m = 1
+	}
+	return math.Float64frombits(math.Float64bits(v) & -m)
 }
 
 func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {

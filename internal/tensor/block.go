@@ -2,20 +2,23 @@ package tensor
 
 // Cache/register-blocked matmul kernels.
 //
-// All three matmul orientations share one design: the inner loop streams
-// a length-Cols destination row while folding in four source rows at a
-// time (a "k-quad"). Relative to the straight ikj loop this quarters the
-// number of dst loads/stores per multiply-add and lets the compiler keep
-// the four panel scalars in registers, which is where the measured
-// 1.5-2x single-thread win comes from. Row-major storage means every
-// slice the inner loop touches is already contiguous, so no packing
-// copies are needed (a packed-panel variant was measured and lost: the
-// pack traffic costs more than it saves at these shapes — see DESIGN.md).
+// All three matmul orientations share one design and one inner kernel:
+// quadAXPY (quad.go) streams a length-Cols destination row while folding
+// in four source rows at a time (a "k-quad"). Relative to the straight
+// ikj loop this quarters the number of dst loads/stores per multiply-add
+// and keeps the four panel scalars in registers; on amd64 with AVX2 the
+// kernel also runs four columns per instruction. MatMul and MatMulBias
+// run it over the rows of b and MatMulATB over the shared rows of a and
+// b; row-major storage makes those rows contiguous already, so they are
+// not packed (a packed-panel variant was measured and lost: the pack
+// traffic costs more than it saves at these shapes — see DESIGN.md).
+// MatMulABT needs columns of b as rows, so it packs transposed
+// four-row panels of b on the stack.
 //
 // Bit-exactness contract: for every output element the kernels perform
 // the same floating-point additions in the same order as the reference
 // loops (matMulRange and friends), so results are bit-identical to the
-// reference at any worker-pool width. Two rules keep it that way:
+// reference at any worker-pool width. Three rules keep it that way:
 //
 //  1. Accumulation must stay left-associated against the destination:
 //     `d = d + a0*b0 + a1*b1 + ...`, never `d += a0*b0 + a1*b1 + ...`
@@ -25,6 +28,12 @@ package tensor
 //     are all exactly ±0: adding ±0 to a running sum that started at +0
 //     can never change its bits for finite inputs, because a sum can
 //     only become -0 through operations the accumulation never performs.
+//  3. Every multiply is rounded before its add: no fused multiply-add.
+//     A SIMD body runs, in each lane, the scalar loop's operations in
+//     the scalar order, under the default MXCSR (Go never sets
+//     flush-to-zero or denormals-are-zero). The Go loops, reference
+//     loops included, write each product as float64(x*y), which the Go
+//     spec requires to round, so FMA-capable targets cannot fuse them.
 //
 // The reference loops are kept both as the small-shape fallback (the
 // quad setup overhead dominates tiny products) and as the oracle for the
@@ -61,13 +70,8 @@ func matMulQuadRow(di, ai []float64, b *Matrix, n, kk int) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue // all four products are ±0; see bit-exactness note
 		}
-		b0 := b.Data[k*n : k*n+n : k*n+n]
-		b1 := b.Data[(k+1)*n : (k+1)*n+n : (k+1)*n+n]
-		b2 := b.Data[(k+2)*n : (k+2)*n+n : (k+2)*n+n]
-		b3 := b.Data[(k+3)*n : (k+3)*n+n : (k+3)*n+n]
-		for j, v := range b0 {
-			di[j] = di[j] + a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-		}
+		quadAXPY(di, b.Data[k*n:k*n+n], b.Data[(k+1)*n:(k+1)*n+n],
+			b.Data[(k+2)*n:(k+2)*n+n], b.Data[(k+3)*n:(k+3)*n+n], a0, a1, a2, a3)
 	}
 	for ; k < kk; k++ {
 		av := ai[k]
@@ -76,7 +80,7 @@ func matMulQuadRow(di, ai []float64, b *Matrix, n, kk int) {
 		}
 		bk := b.Data[k*n : k*n+n : k*n+n]
 		for j, bv := range bk {
-			di[j] += av * bv
+			di[j] += float64(av * bv)
 		}
 	}
 }
@@ -105,10 +109,7 @@ func matMulATBBlocked(dst, a, b *Matrix, lo, hi int) {
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			di := dst.Data[i*n : i*n+n : i*n+n]
-			for j, bv := range b0 {
-				di[j] = di[j] + v0*bv + v1*b1[j] + v2*b2[j] + v3*b3[j]
-			}
+			quadAXPY(dst.Data[i*n:i*n+n], b0, b1, b2, b3, v0, v1, v2, v3)
 		}
 	}
 	for ; r < rows; r++ {
@@ -121,54 +122,60 @@ func matMulATBBlocked(dst, a, b *Matrix, lo, hi int) {
 			}
 			di := dst.Data[i*n : i*n+n : i*n+n]
 			for j, bv := range br {
-				di[j] += av * bv
+				di[j] += float64(av * bv)
 			}
 		}
 	}
 }
 
-// matMulABTBlocked computes rows [lo,hi) of dst = a·bᵀ. Each output is a
-// dot product over the shared inner dimension; the kernel computes four
-// of them per pass over ai (quartering the ai traffic) and unrolls the
-// reduction four-wide, keeping each accumulator's addition order
-// identical to the reference loop.
+// abtPanelCols is the column width of matMulABTBlocked's transposed
+// panel: four rows of bᵀ held on the stack, so the kernel needs no
+// scratch matrix.
+const abtPanelCols = 256
+
+// matMulABTBlocked computes rows [lo,hi) of dst = a·bᵀ with the k-quad
+// kernel. For each block of up to abtPanelCols output columns and each
+// k-quad it transposes the 4×w panel of b into a stack buffer and folds
+// it into every destination row. Each output therefore takes the same
+// updates, in the same order and grouping, as matMulQuadRow over a
+// materialized bᵀ: bit-identical to matMulABTRange under rule 2.
 func matMulABTBlocked(dst, a, b *Matrix, lo, hi int) {
-	kk := a.Cols
+	var panel [4][abtPanelCols]float64
+	n, kk := b.Rows, a.Cols
 	for i := lo; i < hi; i++ {
-		ai := a.Row(i)
-		di := dst.Row(i)
-		j := 0
-		for ; j+4 <= b.Rows; j += 4 {
-			b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-			var s0, s1, s2, s3 float64
-			k := 0
-			for ; k+4 <= kk; k += 4 {
-				v0, v1, v2, v3 := ai[k], ai[k+1], ai[k+2], ai[k+3]
-				s0 = s0 + v0*b0[k] + v1*b0[k+1] + v2*b0[k+2] + v3*b0[k+3]
-				s1 = s1 + v0*b1[k] + v1*b1[k+1] + v2*b1[k+2] + v3*b1[k+3]
-				s2 = s2 + v0*b2[k] + v1*b2[k+1] + v2*b2[k+2] + v3*b2[k+3]
-				s3 = s3 + v0*b3[k] + v1*b3[k+1] + v2*b3[k+2] + v3*b3[k+3]
+		clear(dst.Data[i*n : i*n+n])
+	}
+	for j0 := 0; j0 < n; j0 += abtPanelCols {
+		w := min(abtPanelCols, n-j0)
+		p0, p1, p2, p3 := panel[0][:w], panel[1][:w], panel[2][:w], panel[3][:w]
+		k := 0
+		for ; k+4 <= kk; k += 4 {
+			for jj := range p0 {
+				bj := b.Data[(j0+jj)*kk+k : (j0+jj)*kk+k+4]
+				p0[jj], p1[jj], p2[jj], p3[jj] = bj[0], bj[1], bj[2], bj[3]
 			}
-			for ; k < kk; k++ {
-				v := ai[k]
-				s0 += v * b0[k]
-				s1 += v * b1[k]
-				s2 += v * b2[k]
-				s3 += v * b3[k]
+			for i := lo; i < hi; i++ {
+				ai := a.Data[i*kk+k : i*kk+k+4]
+				if ai[0] == 0 && ai[1] == 0 && ai[2] == 0 && ai[3] == 0 {
+					continue // all four products are ±0; see bit-exactness note
+				}
+				quadAXPY(dst.Data[i*n+j0:i*n+j0+w], p0, p1, p2, p3, ai[0], ai[1], ai[2], ai[3])
 			}
-			di[j], di[j+1], di[j+2], di[j+3] = s0, s1, s2, s3
 		}
-		for ; j < b.Rows; j++ {
-			bj := b.Row(j)
-			var s float64
-			k := 0
-			for ; k+4 <= kk; k += 4 {
-				s = s + ai[k]*bj[k] + ai[k+1]*bj[k+1] + ai[k+2]*bj[k+2] + ai[k+3]*bj[k+3]
+		for ; k < kk; k++ {
+			for jj := range p0 {
+				p0[jj] = b.Data[(j0+jj)*kk+k]
 			}
-			for ; k < kk; k++ {
-				s += ai[k] * bj[k]
+			for i := lo; i < hi; i++ {
+				av := a.Data[i*kk+k]
+				if av == 0 {
+					continue
+				}
+				di := dst.Data[i*n+j0 : i*n+j0+w]
+				for jj, bv := range p0 {
+					di[jj] += float64(av * bv)
+				}
 			}
-			di[j] = s
 		}
 	}
 }
@@ -198,7 +205,7 @@ func matMulBiasRange(dst, a, b *Matrix, bias []float64, relu bool, mask []bool, 
 				}
 				bk := b.Data[k*n : k*n+n : k*n+n]
 				for j, bv := range bk {
-					di[j] += av * bv
+					di[j] += float64(av * bv)
 				}
 			}
 		}

@@ -162,6 +162,40 @@ func TestMatMulATBParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestMatMulABTPanelRouteBitIdentical pins the input-gradient
+// orientation's route through transposed panels of b and the k-quad
+// kernel: at the TENT step's shapes, across panel-width boundaries and
+// k tails, with whole zero k-quads in a (the ReLU-masked gradients that
+// hit the skip), the result matches MatMulABTRef bit for bit at pool
+// widths 1 and 8, and b is left untouched.
+func TestMatMulABTPanelRouteBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xAB7, 2))
+	for _, sh := range []struct{ m, k, n int }{
+		{64, 96, 96}, {64, 24, 96}, {64, 96, 24}, {33, 13, 9},
+		{5, 13, abtPanelCols}, {9, 10, abtPanelCols + 1}, {70, 17, 2*abtPanelCols + 45},
+	} {
+		a := New(sh.m, sh.k)
+		b := New(sh.n, sh.k)
+		fillKernelTest(a, rng)
+		fillKernelTest(b, rng)
+		for i := 0; i < sh.m; i += 3 {
+			for k := 4; k+4 <= sh.k; k += 8 {
+				copy(a.Row(i)[k:k+4], []float64{0, math.Copysign(0, -1), 0, 0})
+			}
+		}
+		bBefore := b.Clone()
+		want := New(sh.m, sh.n)
+		MatMulABTRef(want, a, b)
+		atWidths(t, func(t *testing.T, w int) {
+			got := New(sh.m, sh.n)
+			got.Fill(math.NaN()) // the kernel must overwrite every element
+			MatMulABT(got, a, b)
+			matricesBitIdentical(t, fmt.Sprintf("MatMulABT %dx%dx%d@w%d", sh.m, sh.k, sh.n, w), got, want)
+		})
+		matricesBitIdentical(t, "MatMulABT input b", b, bBefore)
+	}
+}
+
 // FuzzMatMulKernels cross-checks the blocked kernels against the
 // reference loops on fuzzer-chosen shapes and data, including exact
 // zeros (the skip fast paths) at both pool widths.

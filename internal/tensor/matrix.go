@@ -277,7 +277,7 @@ func matMulRange(dst, a, b *Matrix, lo, hi int) {
 			}
 			bk := b.Data[k*n : (k+1)*n]
 			for j, bv := range bk {
-				di[j] += av * bv
+				di[j] += float64(av * bv)
 			}
 		}
 	}
@@ -327,7 +327,7 @@ func matMulATBRange(dst, a, b *Matrix, lo, hi int) {
 			}
 			di := dst.Data[i*n : i*n+n]
 			for j, bv := range br {
-				di[j] += av * bv
+				di[j] += float64(av * bv)
 			}
 		}
 	}
@@ -346,7 +346,9 @@ func MatMulATBRef(dst, a, b *Matrix) {
 }
 
 // MatMulABT computes dst = a·bᵀ without materializing the transpose.
-// dst must be a.Rows×b.Rows. Used for input gradients (dy·Wᵀ).
+// dst must be a.Rows×b.Rows. Used for input gradients (dy·Wᵀ). Large
+// shapes run the k-quad kernel over transposed panels of b (see
+// matMulABTBlocked), bit-identical to MatMulABTRef.
 func MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT inner dim %d != %d", a.Cols, b.Cols))
@@ -375,7 +377,7 @@ func matMulABTRange(dst, a, b *Matrix, lo, hi int) {
 			bj := b.Row(j)
 			var s float64
 			for k, av := range ai {
-				s += av * bj[k]
+				s += float64(av * bj[k])
 			}
 			di[j] = s
 		}
