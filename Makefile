@@ -18,10 +18,19 @@ RACE_PKGS = ./internal/cloud/... ./internal/driftlog/... ./internal/fim/... ./in
 ci: vet staticcheck build test race race-chaos macrosim-smoke
 
 # The second pass vets the portable build (no assembly): it keeps the
-# non-amd64 fallbacks of the SIMD kernels compiling and checked.
+# non-amd64 fallbacks of the SIMD kernels compiling and checked. The
+# third fails if the arm64 compiler fused any float multiply-add in the
+# numeric packages: a fused op rounds once where amd64 rounds twice, so
+# the adapt/nn goldens would hold on amd64 only. Write such products as
+# float64(x*y), which forces the intermediate rounding.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags=-S ./internal/tensor ./internal/nn ./internal/adapt 2>&1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -q STEXT || { echo "vet: no arm64 assembly listing to check"; exit 1; }; \
+	if echo "$$out" | grep -E 'FMADDD|FMSUBD|FNMADDD|FNMSUBD'; then \
+		echo "vet: fused multiply-add in the arm64 build; write the product as float64(x*y)"; exit 1; \
+	fi
 
 # staticcheck is optional locally (skipped when the binary is absent)
 # but mandatory in CI, where the workflow installs it. Metric-name
@@ -68,9 +77,10 @@ fuzz:
 
 # 30 seconds of coverage-guided fuzzing per target across every fuzz
 # entry point in the repo: the HTTP decoders, the drift-log snapshot
-# reader, the count differential, the fault-schedule parser, WAL
-# replay, the quantized int8 model pass, and the float matmul kernels
-# against their reference loops. CI runs this on every
+# reader, the count and sketch differentials, the fault-schedule
+# parser, WAL replay, the quantized int8 model pass, the float matmul
+# kernels against their reference loops, and the slot-indexed
+# Space-Saving heap against its map-indexed reference. CI runs this on every
 # push; interesting inputs it finds should be committed under the
 # package's testdata/fuzz corpus.
 fuzz-smoke:
@@ -84,6 +94,7 @@ fuzz-smoke:
 	$(GO) test ./internal/nn/ -run '^$$' -fuzz FuzzQuantizedForward -fuzztime 30s
 	$(GO) test ./internal/macrosim/ -run '^$$' -fuzz FuzzParseScenario -fuzztime 30s
 	$(GO) test ./internal/driftlog/ -run '^$$' -fuzz FuzzSketchDifferential -fuzztime 30s
+	$(GO) test ./internal/sketch/ -run '^$$' -fuzz FuzzSpaceSavingDifferential -fuzztime 30s
 	$(GO) test ./internal/tensor/ -run '^$$' -fuzz FuzzMatMulKernels -fuzztime 30s
 
 bench:
@@ -146,11 +157,13 @@ bench-macrosim:
 
 # High-cardinality index-tier benchmarks: sketch-backed counting,
 # per-value group-bys and (re-)mining vs the exact bitset path at
-# 100k/1M rows × 100/100k distinct values, each reporting index-bytes.
-# Results (including sketch-vs-exact speedups) land in BENCH_sketch.json.
+# 100k/1M rows × 100/100k distinct values, each reporting index-bytes;
+# pair counting over a 60-bucket cumulative window with a full pair
+# ring; and Space-Saving offers into a full summary. Results (including
+# sketch-vs-exact speedups) land in BENCH_sketch.json.
 bench-sketch:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketch' -benchmem -benchtime 0.5s -count 5 \
-		./internal/driftlog/ ./internal/fim/ | tee bench-sketch.out
+	$(GO) test -run '^$$' -bench 'BenchmarkSketch|BenchmarkSpaceSaving' -benchmem -benchtime 0.5s -count 5 \
+		./internal/driftlog/ ./internal/fim/ ./internal/sketch/ | tee bench-sketch.out
 	$(GO) run ./cmd/benchjson < bench-sketch.out > BENCH_sketch.json
 	@rm -f bench-sketch.out
 	@echo "wrote BENCH_sketch.json"

@@ -59,7 +59,7 @@ func quantizeDiff(ref, target []float64) ([]int16, float64) {
 func dequantize(ref []float64, q []int16, scale float64) []float64 {
 	out := make([]float64, len(ref))
 	for i := range ref {
-		out[i] = ref[i] + scale*float64(q[i])
+		out[i] = ref[i] + float64(scale*float64(q[i]))
 	}
 	return out
 }

@@ -137,7 +137,7 @@ type Store struct {
 	// Tiered sketch layer (see sketchindex.go). sketchedPtr holds the
 	// immutable snapshot of sketched attribute names; feed paths load it
 	// once under the shard lock.
-	sk         *sketchIndex
+	sk          *sketchIndex
 	sketchedPtr atomic.Pointer[map[string]bool]
 }
 
@@ -545,6 +545,7 @@ type View struct {
 	// Deterministic work tallies of the queries run on this view (see
 	// Work); atomic because scans fan out over shards.
 	wordsVisited, rowsVisited atomic.Int64
+	sketchWork                sketchTally
 }
 
 // Work is the deterministic work a view's queries have done: bitmap
@@ -576,11 +577,6 @@ func (s *Store) WindowScan(from, to time.Time) *View { return s.window(from, to,
 
 func (s *Store) window(from, to time.Time, indexed bool) *View {
 	v := &View{attrs: map[string]bool{}, noIndex: !indexed, sk: s.sk, sketched: s.sketchedSet()}
-	s.attrMu.RLock()
-	for _, name := range s.attrOrder {
-		v.attrs[name] = true
-	}
-	s.attrMu.RUnlock()
 	if !from.IsZero() {
 		v.from = from.UnixNano()
 	}
@@ -634,6 +630,16 @@ func (s *Store) window(from, to time.Time, indexed bool) *View {
 		offset += rows
 	}
 	v.total = offset
+	// Pin the registry after the rows: appends register a row's
+	// attributes before the row lands in a shard, so every attribute of
+	// a pinned row is registered by now. Pinned first, a row appended
+	// between the two steps could carry an attribute the view rejects
+	// as unknown.
+	s.attrMu.RLock()
+	for _, name := range s.attrOrder {
+		v.attrs[name] = true
+	}
+	s.attrMu.RUnlock()
 	return v
 }
 

@@ -136,3 +136,45 @@ func BenchmarkSketchValueCounts(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSketchPairCounts measures the sketch tier's share of pair
+// mining on a cumulative window: 100k rows over 10 hours (60 covered
+// 10-minute buckets) with 16k app versions, so the 2048-entry pair
+// heavy-hitter ring is full and every candidate is estimated in every
+// bucket.
+func BenchmarkSketchPairCounts(b *testing.B) {
+	s := NewStore()
+	r := rand.New(rand.NewSource(7))
+	base := time.Unix(0, 0).UTC()
+	const rows, span = 100_000, 10 * time.Hour
+	weathers := [4]string{"clear-day", "rain", "snow", "fog"}
+	entries := make([]Entry, rows)
+	for i := range entries {
+		v := r.Intn(16_000)
+		if r.Float64() < 0.6 {
+			v = r.Intn(12)
+		}
+		entries[i] = Entry{
+			Time:     base.Add(span * time.Duration(i) / rows),
+			Drift:    r.Float64() < 0.05,
+			SampleID: -1,
+			Attrs: map[string]string{
+				AttrWeather:   weathers[r.Intn(4)],
+				AttrLocation:  fmt.Sprintf("site_%d", r.Intn(8)),
+				"app_version": fmt.Sprintf("v%d", v),
+			},
+		}
+	}
+	s.AppendBatch(entries)
+	if n := s.sk.pairRing().hh.Len(); n != 2048 {
+		b.Fatalf("pair ring holds %d candidates, want a full 2048", n)
+	}
+	v := s.Window(base, base.Add(span))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := v.PairCounts(nil, nil); len(got) == 0 {
+			b.Fatal("empty pair counts")
+		}
+	}
+	b.ReportMetric(float64(v.sketchWork.probes.Load())/float64(b.N), "probes/op")
+}

@@ -248,14 +248,35 @@ func (as *attrSketch) add(key string, t int64, drifted bool) {
 	as.hh.Offer(key, 1)
 }
 
-// estimate sums the one-sided Count-Min estimates of every bucket fully
-// inside [from, to), returning the summed analytic bound alongside and the
-// partially covered time slices (edges) the caller must resolve by exact
-// scan. Buckets with no overlap contribute nothing; time ranges with no
-// bucket hold no rows by construction.
-func (as *attrSketch) estimate(key string, from, to int64) (total, drift, bound uint64, edges []span) {
+// keyEstimate is one key's windowed Count-Min sums over the fully
+// covered buckets.
+type keyEstimate struct{ total, drift uint64 }
+
+// sketchTally counts a view's sketch-tier query work: keys hashed into
+// Count-Min probes and (key, bucket) estimates read. It is deterministic
+// like Work but kept apart from it: Work is what the Fig. 9d scaling fit
+// is pinned on.
+type sketchTally struct{ hashes, probes atomic.Int64 }
+
+// estimateKeys sums the one-sided Count-Min estimates of every key over
+// the buckets fully inside [from, to) into ests[i] (each bucket's drift
+// is clamped to its total, so the sums keep drift <= total), returning the summed analytic bound and the partially covered
+// time slices (edges) the caller must resolve by exact scan; both are the
+// same for every key. Buckets with no overlap contribute nothing; time
+// ranges with no bucket hold no rows by construction.
+//
+// The walk is bucket-major under one read-lock hold: each covered
+// bucket's counters are probed for every key before the next bucket, so
+// a bucket is streamed once while cache-resident instead of once per key,
+// and every key sees the same ring. Keys are hashed once, at the first
+// covered bucket: a Probe is valid for every bucket of the ring (same
+// width, depth and seed). probes is scratch for len(keys) probes (nil
+// allocates); ests must hold len(keys) entries.
+func (as *attrSketch) estimateKeys(keys []string, from, to int64, probes []sketch.Probe, ests []keyEstimate, tally *sketchTally) (bound uint64, edges []span) {
+	clear(ests[:len(keys)])
 	as.mu.RLock()
 	defer as.mu.RUnlock()
+	hashed := false
 	consider := func(b *sketchBucket) {
 		if b == nil {
 			return
@@ -271,28 +292,35 @@ func (as *attrSketch) estimate(key string, from, to int64) (total, drift, bound 
 		if n == 0 {
 			return
 		}
-		if start >= from && b.end <= to {
-			e := b.cm.Estimate(key)
-			total += uint64(e.Total)
-			drift += uint64(e.Drift)
-			bound += sketch.ErrBound(as.width, n)
+		if start < from || b.end > to {
+			lo, hi := max(start, from), min(b.end, to)
+			edges = append(edges, span{lo, hi})
 			return
 		}
-		lo, hi := start, b.end
-		if from > lo {
-			lo = from
+		bound += sketch.ErrBound(as.width, n)
+		if len(keys) == 0 {
+			return
 		}
-		if to < hi {
-			hi = to
+		if !hashed {
+			if len(probes) < len(keys) {
+				probes = make([]sketch.Probe, len(keys))
+			}
+			for i, k := range keys {
+				probes[i] = b.cm.Probe(k)
+			}
+			hashed = true
+			tally.hashes.Add(int64(len(keys)))
 		}
-		edges = append(edges, span{lo, hi})
+		for i := range keys {
+			e := b.cm.EstimateProbe(&probes[i])
+			ests[i].total += uint64(e.Total)
+			ests[i].drift += uint64(e.Drift)
+		}
+		tally.probes.Add(int64(len(keys)))
 	}
 	consider(as.rest)
 	for _, b := range as.buckets {
 		consider(b)
-	}
-	if drift > total {
-		drift = total
 	}
 	return
 }
@@ -359,6 +387,15 @@ func (sk *sketchIndex) lookupAttr(name string) *attrSketch {
 	return sk.attrs[name]
 }
 
+// pairRing returns the current pair ring (query side). Queries must not
+// read sk.pairs unlocked: tier-up swaps in a fresh ring under mu while
+// views pinned earlier keep querying.
+func (sk *sketchIndex) pairRing() *attrSketch {
+	sk.mu.RLock()
+	defer sk.mu.RUnlock()
+	return sk.pairs
+}
+
 // reset discards all sketch state (tier-up and Compact rebuild from a
 // full replay). Callers hold tierMu plus every shard lock.
 func (sk *sketchIndex) reset() {
@@ -400,13 +437,16 @@ func pairSketchKey(aName, aVal, bName, bVal string) string {
 	return aName + "\x00" + aVal + "\x00" + bName + "\x00" + bVal
 }
 
-// parsePairKey is the inverse of pairSketchKey.
+// parsePairKey is the inverse of pairSketchKey: ok only for keys with
+// exactly three NUL separators.
 func parsePairKey(key string) (PairKey, bool) {
-	parts := strings.SplitN(key, "\x00", 5)
-	if len(parts) != 4 {
+	aName, rest, ok1 := strings.Cut(key, "\x00")
+	aVal, rest, ok2 := strings.Cut(rest, "\x00")
+	bName, bVal, ok3 := strings.Cut(rest, "\x00")
+	if !ok1 || !ok2 || !ok3 || strings.Contains(bVal, "\x00") {
 		return PairKey{}, false
 	}
-	return PairKey{AttrA: parts[0], ValA: parts[1], AttrB: parts[2], ValB: parts[3]}, true
+	return PairKey{AttrA: aName, ValA: aVal, AttrB: bName, ValB: bVal}, true
 }
 
 // feed records one row into the sketch layer: each sketched attribute's

@@ -9,6 +9,8 @@ package driftlog
 import (
 	"math"
 	"sort"
+
+	"nazar/internal/sketch"
 )
 
 // condSketched reports whether any condition touches a sketched attribute
@@ -82,31 +84,18 @@ func (v *View) Approx(conds []Cond, ov *Overlay) (bool, int) {
 	if !ok {
 		return false, 0 // contradictory conditions: answered exactly (zero)
 	}
+	// The bound depends only on which buckets the window covers, not on
+	// the key, so it is read without hashing anything. Two or more
+	// conditions are covered by the pair ring: every pair estimate there
+	// carries the same bound, so it is also the tightest pair marginal's.
+	ring := v.sk.pairRing()
 	if len(uniq) == 1 {
-		as := v.sk.lookupAttr(uniq[0].Attr)
-		if as == nil {
+		if ring = v.sk.lookupAttr(uniq[0].Attr); ring == nil {
 			return true, 0
 		}
-		_, _, b, _ := as.estimate(uniq[0].Value, v.from, v.to)
-		return true, int(b)
 	}
-	best := uint64(math.MaxUint64)
-	for i := 0; i < len(uniq); i++ {
-		for j := i + 1; j < len(uniq); j++ {
-			if !v.sketched[uniq[i].Attr] && !v.sketched[uniq[j].Attr] {
-				continue
-			}
-			a, b := orderPair(uniq[i], uniq[j])
-			_, _, bd, _ := v.sk.pairs.estimate(pairSketchKey(a.Attr, a.Value, b.Attr, b.Value), v.from, v.to)
-			if bd < best {
-				best = bd
-			}
-		}
-	}
-	if best == math.MaxUint64 {
-		best = 0
-	}
-	return true, int(best)
+	b, _ := ring.estimateKeys(nil, v.from, v.to, nil, nil, &v.sketchWork)
+	return true, int(b)
 }
 
 // orderPair canonicalizes a condition pair (AttrA < AttrB).
@@ -145,19 +134,18 @@ func (vs *viewShard) edgeRows(edges []span, f func(i int)) {
 	}
 }
 
-// sketchCondEstimate is the windowed one-sided estimate of a single
-// sketched condition: Count-Min sums over fully covered buckets plus an
-// exact scan of the partially covered bucket edges.
-func (v *View) sketchCondEstimate(c Cond) (total, drift uint64) {
-	as := v.sk.lookupAttr(c.Attr)
-	if as == nil {
-		return 0, 0
-	}
-	t, d, _, edges := as.estimate(c.Value, v.from, v.to)
-	total, drift = t, d
-	if len(edges) == 0 {
-		return
-	}
+// estimateOne is the single-key estimateKeys over the view's window.
+func (v *View) estimateOne(as *attrSketch, key string) (total, drift uint64, edges []span) {
+	keys := [1]string{key}
+	var probes [1]sketch.Probe
+	var ests [1]keyEstimate
+	_, edges = as.estimateKeys(keys[:], v.from, v.to, probes[:], ests[:], &v.sketchWork)
+	return ests[0].total, ests[0].drift, edges
+}
+
+// condEdgeCounts is the exact count of pinned rows matching c inside the
+// partially covered bucket slices edges.
+func (v *View) condEdgeCounts(c Cond, edges []span) (total, drift uint64) {
 	for si := range v.shards {
 		vs := &v.shards[si]
 		col, ok := vs.cols[c.Attr]
@@ -180,14 +168,8 @@ func (v *View) sketchCondEstimate(c Cond) (total, drift uint64) {
 	return
 }
 
-// sketchPairEstimate is sketchCondEstimate for a canonical condition pair
-// answered from the pair ring.
-func (v *View) sketchPairEstimate(a, b Cond) (total, drift uint64) {
-	t, d, _, edges := v.sk.pairs.estimate(pairSketchKey(a.Attr, a.Value, b.Attr, b.Value), v.from, v.to)
-	total, drift = t, d
-	if len(edges) == 0 {
-		return
-	}
+// pairEdgeCounts is condEdgeCounts for the conjunction of a and b.
+func (v *View) pairEdgeCounts(a, b Cond, edges []span) (total, drift uint64) {
 	for si := range v.shards {
 		vs := &v.shards[si]
 		ca, okA := vs.cols[a.Attr]
@@ -207,6 +189,33 @@ func (v *View) sketchPairEstimate(a, b Cond) (total, drift uint64) {
 				}
 			}
 		})
+	}
+	return
+}
+
+// sketchCondEstimate is the windowed one-sided estimate of a single
+// sketched condition: Count-Min sums over fully covered buckets plus an
+// exact scan of the partially covered bucket edges.
+func (v *View) sketchCondEstimate(c Cond) (total, drift uint64) {
+	as := v.sk.lookupAttr(c.Attr)
+	if as == nil {
+		return 0, 0
+	}
+	total, drift, edges := v.estimateOne(as, c.Value)
+	if len(edges) > 0 {
+		t, d := v.condEdgeCounts(c, edges)
+		total, drift = total+t, drift+d
+	}
+	return
+}
+
+// sketchPairEstimate is sketchCondEstimate for a canonical condition pair
+// answered from the pair ring.
+func (v *View) sketchPairEstimate(a, b Cond) (total, drift uint64) {
+	total, drift, edges := v.estimateOne(v.sk.pairRing(), pairSketchKey(a.Attr, a.Value, b.Attr, b.Value))
+	if len(edges) > 0 {
+		t, d := v.pairEdgeCounts(a, b, edges)
+		total, drift = total+t, drift+d
 	}
 	return
 }
@@ -277,8 +286,9 @@ func (v *View) countSketch(conds []Cond, ov *Overlay) (CountResult, error) {
 // attributes on an eligible view: Space-Saving heavy hitters enumerate
 // the candidate values (every value above N/capacity frequency is
 // guaranteed present — exactly the values mining's minimum-occurrence
-// threshold can keep), each estimated over the window. Candidates are
-// global across time; windowed estimates discard out-of-window mass.
+// threshold can keep), all estimated over the window in one bucket-major
+// pass. Candidates are global across time; windowed estimates discard
+// out-of-window mass.
 func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
 	for name := range v.sketched {
 		if !v.attrs[name] {
@@ -288,9 +298,20 @@ func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
 		if as == nil {
 			continue
 		}
+		items := as.hh.Items()
+		keys := make([]string, len(items))
+		for i, hhi := range items {
+			keys[i] = hhi.Key
+		}
+		ests := make([]keyEstimate, len(keys))
+		_, edges := as.estimateKeys(keys, v.from, v.to, nil, ests, &v.sketchWork)
 		byVal := out[name]
-		for _, hhi := range as.hh.Items() {
-			t, d := v.sketchCondEstimate(Cond{Attr: name, Value: hhi.Key})
+		for i, val := range keys {
+			t, d := ests[i].total, ests[i].drift
+			if len(edges) > 0 {
+				et, ed := v.condEdgeCounts(Cond{Attr: name, Value: val}, edges)
+				t, d = t+et, d+ed
+			}
 			if t == 0 {
 				continue
 			}
@@ -298,7 +319,7 @@ func (v *View) attrValueCountsSketch(out map[string]map[string]CountResult) {
 				byVal = map[string]CountResult{}
 				out[name] = byVal
 			}
-			byVal[hhi.Key] = CountResult{Total: int(t), Drift: int(d)}
+			byVal[val] = CountResult{Total: int(t), Drift: int(d)}
 		}
 	}
 }
@@ -363,11 +384,15 @@ func (v *View) attrValueCountsScanSketched(out map[string]map[string]CountResult
 }
 
 // pairCountsSketchSection fills pairs touching sketched attributes:
-// pair-ring heavy hitters with windowed estimates on eligible views, an
-// exact row scan over just those attribute pairs otherwise.
+// pair-ring heavy hitters estimated in one bucket-major pass on eligible
+// views, an exact row scan over just those attribute pairs otherwise.
 func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay, exclude map[string]bool) {
 	if v.sketchEligible(ov) {
-		for _, hhi := range v.sk.pairs.hh.Items() {
+		ring := v.sk.pairRing()
+		items := ring.hh.Items()
+		keys := make([]string, 0, len(items))
+		pks := make([]PairKey, 0, len(items))
+		for _, hhi := range items {
 			k, ok := parsePairKey(hhi.Key)
 			if !ok || exclude[k.AttrA] || exclude[k.AttrB] {
 				continue
@@ -375,7 +400,17 @@ func (v *View) pairCountsSketchSection(out map[PairKey]CountResult, ov *Overlay,
 			if !v.attrs[k.AttrA] || !v.attrs[k.AttrB] {
 				continue
 			}
-			t, d := v.sketchPairEstimate(Cond{k.AttrA, k.ValA}, Cond{k.AttrB, k.ValB})
+			keys = append(keys, hhi.Key)
+			pks = append(pks, k)
+		}
+		ests := make([]keyEstimate, len(keys))
+		_, edges := ring.estimateKeys(keys, v.from, v.to, nil, ests, &v.sketchWork)
+		for i, k := range pks {
+			t, d := ests[i].total, ests[i].drift
+			if len(edges) > 0 {
+				et, ed := v.pairEdgeCounts(Cond{k.AttrA, k.ValA}, Cond{k.AttrB, k.ValB}, edges)
+				t, d = t+et, d+ed
+			}
 			if t == 0 {
 				continue
 			}

@@ -306,8 +306,8 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 		variance = x.ColVariancesInto(bn.varBuf, mean)
 		m := bn.Momentum
 		for j := range bn.RunMean {
-			bn.RunMean[j] = (1-m)*bn.RunMean[j] + m*mean[j]
-			bn.RunVar[j] = (1-m)*bn.RunVar[j] + m*variance[j]
+			bn.RunMean[j] = float64((1-m)*bn.RunMean[j]) + float64(m*mean[j])
+			bn.RunVar[j] = float64((1-m)*bn.RunVar[j]) + float64(m*variance[j])
 		}
 	} else {
 		mean, variance = bn.RunMean, bn.RunVar
@@ -329,7 +329,7 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 			for j, v := range xr {
 				h := (v - mean[j]) * invStd[j]
 				hr[j] = h
-				yr[j] = g[j]*h + b[j]
+				yr[j] = float64(g[j]*h) + b[j]
 			}
 		}
 		bn.xhat = xhat
@@ -341,7 +341,7 @@ func (bn *BatchNorm) forward(x *tensor.Matrix, mode Mode, r *ReLU) *tensor.Matri
 		for j, v := range xr {
 			h := (v - mean[j]) * invStd[j]
 			hr[j] = h
-			out := g[j]*h + b[j]
+			out := float64(g[j]*h) + b[j]
 			pos := out > 0
 			mr[j] = pos
 			yr[j] = keepIf(out, pos)
@@ -384,7 +384,7 @@ func (bn *BatchNorm) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	for i := 0; i < dout.Rows; i++ {
 		dr, hr, xr := dout.Row(i), bn.xhat.Row(i), dx.Row(i)
 		for j, dv := range dr {
-			xr[j] = g[j] * bn.invStd[j] / n * (n*dv - dbeta[j] - hr[j]*dgamma[j])
+			xr[j] = g[j] * bn.invStd[j] / n * (float64(n*dv) - dbeta[j] - float64(hr[j]*dgamma[j]))
 		}
 	}
 	return dx
@@ -404,7 +404,7 @@ func (bn *BatchNorm) accumulateGrads(dout *tensor.Matrix) {
 	for i := 0; i < dout.Rows; i++ {
 		dr, hr := dout.Row(i), bn.xhat.Row(i)
 		for j, dv := range dr {
-			dgamma[j] += dv * hr[j]
+			dgamma[j] += float64(dv * hr[j])
 			dbeta[j] += dv
 		}
 	}

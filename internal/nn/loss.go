@@ -56,7 +56,7 @@ func EntropyInto(dst *tensor.Matrix, logits *tensor.Matrix) (float64, *tensor.Ma
 		var h float64
 		for _, pc := range p {
 			if pc > 0 {
-				h -= pc * math.Log(pc)
+				h -= float64(pc * math.Log(pc))
 			}
 		}
 		total += h
@@ -105,7 +105,7 @@ func MarginalEntropyInto(dst *tensor.Matrix, logits *tensor.Matrix) (float64, *t
 	for j, p := range avg {
 		if p > 0 {
 			logAvg[j] = math.Log(p)
-			loss -= p * logAvg[j]
+			loss -= float64(p * logAvg[j])
 		} else {
 			logAvg[j] = math.Inf(-1)
 		}
@@ -115,7 +115,7 @@ func MarginalEntropyInto(dst *tensor.Matrix, logits *tensor.Matrix) (float64, *t
 		var inner float64
 		for j, p := range g {
 			if p > 0 {
-				inner += p * logAvg[j]
+				inner += float64(p * logAvg[j])
 			}
 		}
 		for k, pk := range g {
@@ -168,7 +168,7 @@ func EntropyOf(p []float64) float64 {
 	var h float64
 	for _, pc := range p {
 		if pc > 0 {
-			h -= pc * math.Log(pc)
+			h -= float64(pc * math.Log(pc))
 		}
 	}
 	return h

@@ -86,8 +86,8 @@ func (a *Adam) Step(params []*Param) {
 		}
 		v := a.v[p]
 		for i, g := range p.Grad.Data {
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*g
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*g*g
+			m.Data[i] = float64(a.Beta1*m.Data[i]) + float64((1-a.Beta1)*g)
+			v.Data[i] = float64(a.Beta2*v.Data[i]) + float64((1-a.Beta2)*g*g)
 			mhat := m.Data[i] / bc1
 			vhat := v.Data[i] / bc2
 			p.W.Data[i] -= a.LR * mhat / (math.Sqrt(vhat) + a.Eps)

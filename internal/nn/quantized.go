@@ -118,7 +118,7 @@ func (l *QuantizedLayer) fold() {
 		if l.bn != nil {
 			inv := 1 / math.Sqrt(l.bn.RunVar[j]+l.bn.Eps)
 			g = l.bn.Gamma()[j] * inv
-			shift = g*(bias[j]-l.bn.RunMean[j]) + l.bn.Beta()[j]
+			shift = float64(g*(bias[j]-l.bn.RunMean[j])) + l.bn.Beta()[j]
 		}
 		mul := g * l.InScale * sw[j]
 		if !l.Final {

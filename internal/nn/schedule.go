@@ -20,7 +20,7 @@ func CosineLR(totalEpochs int, floor float64) LRSchedule {
 			return floor
 		}
 		t := float64(epoch) / float64(totalEpochs)
-		return floor + (1-floor)*(1+math.Cos(math.Pi*t))/2
+		return floor + float64((1-floor)*(1+math.Cos(math.Pi*t))/2)
 	}
 }
 
@@ -55,7 +55,7 @@ func ClipGradients(params []*Param, maxNorm float64) float64 {
 			continue
 		}
 		for _, g := range p.Grad.Data {
-			sq += g * g
+			sq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sq)

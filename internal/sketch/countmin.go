@@ -104,11 +104,9 @@ func (c *CountMin) AddN(key string, n uint32, drifted bool) {
 	if n == 0 {
 		return
 	}
-	h1, h2 := c.hashPair(key)
-	w := uint64(c.width)
+	p := c.Probe(key)
 	for i := uint32(0); i < c.depth; i++ {
-		idx := (h1 + uint64(i)*h2) % w
-		cell := (uint64(i)*w + idx) * 2
+		cell := c.cell(&p, i)
 		atomic.AddUint32(&c.rows[cell], n)
 		if drifted {
 			atomic.AddUint32(&c.rows[cell+1], n)
@@ -116,17 +114,45 @@ func (c *CountMin) AddN(key string, n uint32, drifted bool) {
 	}
 }
 
+// Probe is a key's hashed position in every hash row. It depends only on
+// the key and the (width, depth, seed) geometry, so one Probe is valid
+// for every sketch built with that geometry: a query over a ring of such
+// sketches hashes each key once rather than once per sketch.
+type Probe struct {
+	cols [8]uint32 // column per hash row; the first depth are used
+}
+
+// Probe hashes key for this sketch's geometry.
+func (c *CountMin) Probe(key string) Probe {
+	h1, h2 := c.hashPair(key)
+	w := uint64(c.width)
+	var p Probe
+	for i := uint32(0); i < c.depth; i++ {
+		p.cols[i] = uint32((h1 + uint64(i)*h2) % w)
+	}
+	return p
+}
+
+// cell is the counter-array offset of p's (total, drift) pair in row i.
+func (c *CountMin) cell(p *Probe, i uint32) uint64 {
+	return (uint64(i)*uint64(c.width) + uint64(p.cols[i])) * 2
+}
+
 // Estimate returns the one-sided (Total, Drift) estimate for key: the
 // minimum over the depth probed cells, with Drift clamped to Total (the
 // clamp preserves the one-sided guarantee because true drift <= true
 // total <= estimated total).
 func (c *CountMin) Estimate(key string) Estimate {
-	h1, h2 := c.hashPair(key)
-	w := uint64(c.width)
+	p := c.Probe(key)
+	return c.EstimateProbe(&p)
+}
+
+// EstimateProbe is Estimate for an already hashed key. p must come from
+// a sketch with this sketch's width, depth and seed.
+func (c *CountMin) EstimateProbe(p *Probe) Estimate {
 	est := Estimate{Total: math.MaxUint32, Drift: math.MaxUint32}
 	for i := uint32(0); i < c.depth; i++ {
-		idx := (h1 + uint64(i)*h2) % w
-		cell := (uint64(i)*w + idx) * 2
+		cell := c.cell(p, i)
 		t := atomic.LoadUint32(&c.rows[cell])
 		d := atomic.LoadUint32(&c.rows[cell+1])
 		if t < est.Total {

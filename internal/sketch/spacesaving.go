@@ -3,6 +3,7 @@ package sketch
 import (
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // SpaceSaving is the Metwally et al. Space-Saving heavy-hitter summary over
@@ -12,19 +13,24 @@ import (
 // offers, and that each reported count overestimates the true count by at
 // most the count of the minimum entry at eviction time.
 //
-// The implementation keeps the entries in a binary min-heap ordered by
-// (count asc, key asc) with a key->slot map, so Offer is O(log k) even when
-// the summary is full — a linear min-scan would cost O(k) per eviction,
-// which at k=2048 and millions of rows dominates ingest. The (count, key)
-// total order makes eviction deterministic: the same offer sequence always
-// evicts the same keys, independent of map iteration order.
+// Entries live in stable slots; a binary min-heap of slot ids ordered by
+// (count asc, key asc) finds the eviction victim, so Offer is O(log k) even
+// when the summary is full — a linear min-scan would cost O(k) per
+// eviction, which at k=2048 and millions of rows dominates ingest. Heap
+// swaps move int32 slot ids and update the slot->position index; the
+// key->slot map is written only when a key enters or leaves the summary,
+// never per swap. The (count, key) total order makes eviction
+// deterministic: the same offer sequence always evicts the same keys,
+// independent of map iteration order.
 //
 // SpaceSaving is guarded by an internal mutex and safe for concurrent use.
 type SpaceSaving[K ordered] struct {
-	cap  int
-	mu   sync.Mutex
-	heap []ssEntry[K]
-	pos  map[K]int // key -> index in heap
+	cap     int
+	mu      sync.Mutex
+	entries []ssEntry[K] // slot -> entry; slots never move
+	heap    []int32      // heap position -> slot
+	at      []int32      // slot -> heap position
+	slot    map[K]int32  // key -> slot
 }
 
 type ssEntry[K ordered] struct {
@@ -54,8 +60,8 @@ func NewSpaceSaving[K ordered](capacity int) *SpaceSaving[K] {
 		capacity = 1
 	}
 	return &SpaceSaving[K]{
-		cap: capacity,
-		pos: make(map[K]int, capacity),
+		cap:  capacity,
+		slot: make(map[K]int32, capacity),
 	}
 }
 
@@ -66,7 +72,7 @@ func (s *SpaceSaving[K]) Cap() int { return s.cap }
 func (s *SpaceSaving[K]) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.heap)
+	return len(s.entries)
 }
 
 // Offer records n occurrences of key.
@@ -76,22 +82,26 @@ func (s *SpaceSaving[K]) Offer(key K, n uint64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if i, ok := s.pos[key]; ok {
-		s.heap[i].count += n
-		s.siftDown(i)
+	if sl, ok := s.slot[key]; ok {
+		s.entries[sl].count += n
+		s.siftDown(int(s.at[sl]))
 		return
 	}
-	if len(s.heap) < s.cap {
-		s.heap = append(s.heap, ssEntry[K]{key: key, count: n})
-		s.pos[key] = len(s.heap) - 1
-		s.siftUp(len(s.heap) - 1)
+	if len(s.entries) < s.cap {
+		sl := int32(len(s.entries))
+		s.entries = append(s.entries, ssEntry[K]{key: key, count: n})
+		s.heap = append(s.heap, sl)
+		s.at = append(s.at, sl)
+		s.slot[key] = sl
+		s.siftUp(int(sl))
 		return
 	}
 	// Full: replace the minimum entry, inheriting its count as the
 	// overestimate bound for the newcomer.
-	min := &s.heap[0]
-	delete(s.pos, min.key)
-	s.pos[key] = 0
+	sl := s.heap[0]
+	min := &s.entries[sl]
+	delete(s.slot, min.key)
+	s.slot[key] = sl
 	min.err = min.count
 	min.key = key
 	min.count += n
@@ -102,8 +112,8 @@ func (s *SpaceSaving[K]) Offer(key K, n uint64) {
 // deterministic candidate order the mining layer enumerates.
 func (s *SpaceSaving[K]) Items() []HeavyHitter[K] {
 	s.mu.Lock()
-	out := make([]HeavyHitter[K], len(s.heap))
-	for i, e := range s.heap {
+	out := make([]HeavyHitter[K], len(s.entries))
+	for i, e := range s.entries {
 		out[i] = HeavyHitter[K]{Key: e.key, Count: e.count, Err: e.err}
 	}
 	s.mu.Unlock()
@@ -116,33 +126,37 @@ func (s *SpaceSaving[K]) Items() []HeavyHitter[K] {
 	return out
 }
 
-// Bytes returns an estimate of the heap footprint (entries + map slots);
-// string keys additionally count their byte length.
+// Bytes returns an estimate of the heap footprint at capacity: the entry,
+// its two int32 heap indexes and its key->slot map entry; string keys
+// additionally count their byte length.
 func (s *SpaceSaving[K]) Bytes() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := s.cap * (32 + 16) // entry struct + map bucket share
-	for i := range s.heap {
-		if k, ok := any(s.heap[i].key).(string); ok {
+	var e ssEntry[K]
+	perSlot := int(unsafe.Sizeof(e)) + 2*4 + int(unsafe.Sizeof(e.key)) + 4
+	n := s.cap * perSlot
+	for i := range s.entries {
+		if k, ok := any(s.entries[i].key).(string); ok {
 			n += len(k)
 		}
 	}
 	return n
 }
 
-// less orders the heap by (count asc, key asc): a strict total order so
-// the eviction victim is unique.
+// less orders heap positions by their entries' (count asc, key asc): a
+// strict total order so the eviction victim is unique.
 func (s *SpaceSaving[K]) less(i, j int) bool {
-	if s.heap[i].count != s.heap[j].count {
-		return s.heap[i].count < s.heap[j].count
+	a, b := &s.entries[s.heap[i]], &s.entries[s.heap[j]]
+	if a.count != b.count {
+		return a.count < b.count
 	}
-	return s.heap[i].key < s.heap[j].key
+	return a.key < b.key
 }
 
 func (s *SpaceSaving[K]) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.pos[s.heap[i].key] = i
-	s.pos[s.heap[j].key] = j
+	s.at[s.heap[i]] = int32(i)
+	s.at[s.heap[j]] = int32(j)
 }
 
 func (s *SpaceSaving[K]) siftUp(i int) {

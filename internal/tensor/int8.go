@@ -147,7 +147,7 @@ func QuantizeI8VecTo(dst []int8, src []float64, scale float64) int {
 	// loop. The pre-clamp bounds |f| ≤ 127, keeping the trick exact.
 	const shift = 3 << 51 // 1.5·2^52: float64s ≥ 2^52 have integer ulps
 	for i, v := range src {
-		f := v * inv
+		f := float64(v * inv)
 		if f > 127 {
 			dst[i] = 127
 			sat++
@@ -205,7 +205,7 @@ func (q *I8Matrix) buildPacked() {
 			pr := q.packed[kk*np : kk*np+np]
 			for p := 0; p < np; p++ {
 				lo, hi := row[2*p], row[2*p+1]
-				pr[p] = float64(int16(lo)+128) + float64(int16(hi)+128)*(1<<i8LaneBits)
+				pr[p] = float64(int16(lo)+128) + float64(float64(int16(hi)+128)*(1<<i8LaneBits))
 				corr[2*p] += int32(lo) * 128
 				corr[2*p+1] += int32(hi) * 128
 			}
@@ -306,8 +306,8 @@ func i8RowAccPacked1(acc []int32, ai []int8, w *I8Matrix, aw, lanes []float64) {
 			// Two independent chains: exact-integer accumulation is
 			// association-free, and the split doubles the ILP the
 			// FP ports can extract.
-			s := di[j] + a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			t := a4*b4[j] + a5*b5[j] + a6*b6[j] + a7*b7[j]
+			s := di[j] + float64(a0*v) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
+			t := float64(a4*b4[j]) + float64(a5*b5[j]) + float64(a6*b6[j]) + float64(a7*b7[j])
 			di[j] = s + t
 		}
 	}
@@ -315,7 +315,7 @@ func i8RowAccPacked1(acc []int32, ai []int8, w *I8Matrix, aw, lanes []float64) {
 		av := aw[kq]
 		bk := packed[kq*np : kq*np+np : kq*np+np]
 		for j, bv := range bk {
-			di[j] += av * bv
+			di[j] += float64(av * bv)
 		}
 	}
 	corr := w.corr[: 2*np : 2*np]
@@ -348,7 +348,7 @@ func i8RowFusedRequant1(dstq []int8, ai []int8, w *I8Matrix, aw, lanes, mul, fbi
 	// Branch-free scale/round/clamp, expression-for-expression the same
 	// as i8RequantRow's loop body.
 	requant := func(j int, a int32) {
-		t := float64(a)*mul[j] + fbias[j] + shift
+		t := float64(float64(a)*mul[j]) + fbias[j] + shift
 		c := int32(uint32(math.Float64bits(t)))
 		dstq[j] = int8(min(max(c, lo), 127))
 		sat += int(uint64(127-int64(c))>>63) + int(uint64(int64(c)-negThresh)>>63)
@@ -386,8 +386,8 @@ func i8RowFusedRequant1(dstq []int8, ai []int8, w *I8Matrix, aw, lanes, mul, fbi
 		b6 := packed[(kq+6)*np : (kq+6)*np+np : (kq+6)*np+np]
 		b7 := packed[(kq+7)*np : (kq+7)*np+np : (kq+7)*np+np]
 		for j, v := range b0 {
-			s := di[j] + a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			t := a4*b4[j] + a5*b5[j] + a6*b6[j] + a7*b7[j]
+			s := di[j] + float64(a0*v) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
+			t := float64(a4*b4[j]) + float64(a5*b5[j]) + float64(a6*b6[j]) + float64(a7*b7[j])
 			di[j] = s + t
 		}
 	}
@@ -395,7 +395,7 @@ func i8RowFusedRequant1(dstq []int8, ai []int8, w *I8Matrix, aw, lanes, mul, fbi
 		av := aw[kq]
 		bk := packed[kq*np : kq*np+np : kq*np+np]
 		for j, bv := range bk {
-			di[j] += av * bv
+			di[j] += float64(av * bv)
 		}
 	}
 	corr := w.corr[: 2*np : 2*np]
@@ -441,8 +441,8 @@ func i8RowAccPackedChunked(acc []int32, ai []int8, w *I8Matrix, aw, lanes []floa
 			b6 := panel[(kq+6)*np : (kq+6)*np+np : (kq+6)*np+np]
 			b7 := panel[(kq+7)*np : (kq+7)*np+np : (kq+7)*np+np]
 			for j, v := range b0 {
-				s := di[j] + a0*v + a1*b1[j] + a2*b2[j] + a3*b3[j]
-				t := a4*b4[j] + a5*b5[j] + a6*b6[j] + a7*b7[j]
+				s := di[j] + float64(a0*v) + float64(a1*b1[j]) + float64(a2*b2[j]) + float64(a3*b3[j])
+				t := float64(a4*b4[j]) + float64(a5*b5[j]) + float64(a6*b6[j]) + float64(a7*b7[j])
 				di[j] = s + t
 			}
 		}
@@ -450,7 +450,7 @@ func i8RowAccPackedChunked(acc []int32, ai []int8, w *I8Matrix, aw, lanes []floa
 			av := aw[k0+kq]
 			bk := panel[kq*np : kq*np+np : kq*np+np]
 			for j, bv := range bk {
-				di[j] += av * bv
+				di[j] += float64(av * bv)
 			}
 		}
 		corr := w.corr[c*2*np : (c+1)*2*np]
@@ -508,7 +508,7 @@ func i8RequantRow(dst []int8, acc []int32, mul, fbias []float64, relu bool) int 
 		negThresh = int64(math.MinInt32) - 1
 	}
 	for j, a := range acc {
-		t := float64(a)*mul[j] + fbias[j] + shift
+		t := float64(float64(a)*mul[j]) + fbias[j] + shift
 		c := int32(uint32(math.Float64bits(t)))
 		dst[j] = int8(min(max(c, lo), 127))
 		sat += int(uint64(127-int64(c))>>63) + int(uint64(int64(c)-negThresh)>>63)
@@ -522,7 +522,7 @@ func i8DequantRow(dst []float64, acc []int32, mul, fbias []float64) {
 	n := len(acc)
 	dst, mul, fbias = dst[:n:n], mul[:n:n], fbias[:n:n]
 	for j, a := range acc {
-		dst[j] = float64(a)*mul[j] + fbias[j]
+		dst[j] = float64(float64(a)*mul[j]) + fbias[j]
 	}
 }
 

@@ -151,7 +151,7 @@ func (m *Matrix) Scale(s float64) {
 func (m *Matrix) AddScaled(o *Matrix, s float64) {
 	m.mustSameShape(o, "AddScaled")
 	for i, v := range o.Data {
-		m.Data[i] += s * v
+		m.Data[i] += float64(s * v)
 	}
 }
 
@@ -635,7 +635,7 @@ func (m *Matrix) ColVariancesInto(dst, means []float64) []float64 {
 		row := m.Row(i)
 		for j, v := range row {
 			d := v - means[j]
-			dst[j] += d * d
+			dst[j] += float64(d * d)
 		}
 	}
 	inv := 1 / float64(m.Rows)
@@ -742,7 +742,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i, x := range a {
-		s += x * b[i]
+		s += float64(x * b[i])
 	}
 	return s
 }
@@ -751,7 +751,7 @@ func Dot(a, b []float64) float64 {
 func Norm2(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -15,14 +15,14 @@ func NewRand(seed1, seed2 uint64) *rand.Rand {
 // RandNormal fills m with i.i.d. N(mean, std²) samples from rng.
 func (m *Matrix) RandNormal(rng *rand.Rand, mean, std float64) {
 	for i := range m.Data {
-		m.Data[i] = mean + std*rng.NormFloat64()
+		m.Data[i] = mean + float64(std*rng.NormFloat64())
 	}
 }
 
 // RandUniform fills m with i.i.d. U[lo,hi) samples from rng.
 func (m *Matrix) RandUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range m.Data {
-		m.Data[i] = lo + (hi-lo)*rng.Float64()
+		m.Data[i] = lo + float64((hi-lo)*rng.Float64())
 	}
 }
 
